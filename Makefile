@@ -34,11 +34,14 @@ check: vet build race chaos chaos-liveness vet-merge bench-smoke bench-telemetry
 # resets, corrupt frames, desync, breaker), codec framing robustness, and
 # the degraded-mode fleet tests. The fault plans use a fixed seed matrix
 # (seeds 1..3 inside TestChaosSeedMatrix plus per-test seeds), so failures
-# reproduce deterministically.
+# reproduce deterministically. It also runs the replay ring's park/wake
+# drills: the lost-wakeup stress on 2- and 4-slot rings, Close waking
+# parked consumers, pop-stall accounting and Stop landing on a producer
+# parked on a full ring.
 chaos:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'Chaos|Fault|Breaker|Hung|Panic|Dispatch|Codec|Client|Reset|Corrupt|Truncat|Partial|Deterministic|Listener|Delays|ZeroPlan|TestFleet(Partial|Strict|Remove|OpTimeout|Deploy)' \
-		./internal/faultnet/ ./internal/rpc/ ./internal/netwide/
+		-run 'Chaos|Fault|Breaker|Hung|Panic|Dispatch|Codec|Client|Reset|Corrupt|Truncat|Partial|Deterministic|Listener|Delays|ZeroPlan|TestFleet(Partial|Strict|Remove|OpTimeout|Deploy)|TestRing(Stress|LostWakeup|CloseWakes|PopStall)|TestReplayerStop' \
+		./internal/faultnet/ ./internal/rpc/ ./internal/netwide/ ./internal/mmtrace/
 
 # chaos-liveness runs the fast-failure fleet drills under -race: the pure
 # BFD-style session state machine, the liveness + reconciler end-to-end

@@ -110,6 +110,9 @@ func (c *Controller) TelemetryDataPlane() telemetry.DataPlane {
 	dp.Packets = c.pipeline.Packets()
 	dp.Recirculated = c.pipeline.Recirculated()
 	dp.ShardedRules, dp.FallbackRules = snap.ShardedRules()
+	// Lane access counters are plain single-writer fields: keep the
+	// sharded batch path out while the walk reads them.
+	defer c.quiesce()()
 	for gi, g := range c.groups {
 		for ci := 0; ci < g.CMUs(); ci++ {
 			reg := g.CMU(ci).Register()

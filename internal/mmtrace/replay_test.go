@@ -1,7 +1,9 @@
 package mmtrace
 
 import (
+	"net"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,47 +134,144 @@ func TestReplayerMultiTrace(t *testing.T) {
 
 // TestReplayerStop ends a loop-mode replay: after Stop the consumers must
 // drain and Next must return nil on every worker — the goroutine-leak gate
-// for the producer side.
+// for the producer side. The second case lands Stop while the producer is
+// parked on a full ring: the consumers' next releases must wake it to see
+// Stop and close the ring.
 func TestReplayerStop(t *testing.T) {
-	before := runtime.NumGoroutine()
-	tr, _ := openTestTrace(t, 1000)
-	rep, err := NewReplayer(ReplayConfig{
-		Traces:  []*Trace{tr},
-		Workers: 2,
-		Batch:   64,
-		Passes:  -1, // loop forever
-	})
+	for _, tc := range []struct {
+		name       string
+		parkedFull bool
+	}{{"running", false}, {"producer-parked-full", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			tr, _ := openTestTrace(t, 1000)
+			rep, err := NewReplayer(ReplayConfig{
+				Traces:  []*Trace{tr},
+				Workers: 2,
+				Batch:   64,
+				Passes:  -1, // loop forever
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.Start()
+			if tc.parkedFull {
+				// No consumer yet: the producer fills the ring and parks.
+				waitParked(t, &rep.Ring().notFull, 1)
+				if occ := rep.Ring().Occupancy(); occ != rep.Ring().Cap() {
+					t.Fatalf("producer parked with occupancy %d of %d", occ, rep.Ring().Cap())
+				}
+				rep.Stop()
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for rep.Next(w) != nil {
+					}
+				}(w)
+			}
+			if !tc.parkedFull {
+				time.Sleep(20 * time.Millisecond) // let it loop a few passes
+				rep.Stop()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("consumers did not drain after Stop")
+			}
+			if !tc.parkedFull && rep.Packets() < 1000 {
+				t.Fatalf("loop mode delivered only %d packets", rep.Packets())
+			}
+			if st := rep.Stats(); tc.parkedFull && st.Ring.PushStalls == 0 {
+				t.Fatalf("producer never stalled on the full ring: %+v", st.Ring)
+			}
+			waitGoroutines(t, before)
+		})
+	}
+}
+
+// TestReplayerLeavesNetpollAlone is the scheduler-starvation regression
+// gate: a loop-mode replay keeps its ring full, and its producer must park
+// rather than stay runnable, or on 2 Ps the scheduler stops polling the
+// network itself and loopback round trips wait for sysmon (~10 ms). 200
+// TCP ping-pongs beside a replay whose consumer busy-works ~200 µs per
+// span must keep a median under 3 ms.
+func TestReplayerLeavesNetpollAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tr, _ := openTestTrace(t, 10_000)
+	rep, err := NewReplayer(ReplayConfig{Traces: []*Trace{tr}, Workers: 1, Batch: 64, Passes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.Start()
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for rep.Next(w) != nil {
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for rep.Next(0) != nil {
+			for start := time.Now(); time.Since(start) < 200*time.Microsecond; {
 			}
-		}(w)
-	}
-	time.Sleep(20 * time.Millisecond) // let it loop a few passes
-	rep.Stop()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("consumers did not drain after Stop")
-	}
-	if rep.Packets() < 1000 {
-		t.Fatalf("loop mode delivered only %d packets", rep.Packets())
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak after Stop: %d before, %d after", before, runtime.NumGoroutine())
 		}
-		time.Sleep(10 * time.Millisecond)
+	}()
+	defer func() {
+		rep.Stop()
+		<-consumed
+	}()
+	waitParked(t, &rep.Ring().notFull, 1) // ring full: the steady state
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var b [1]byte
+		for {
+			if _, err := c.Read(b[:]); err != nil {
+				return
+			}
+			if _, err := c.Write(b[:]); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const rounds = 200
+	rtts := make([]time.Duration, rounds)
+	var b [1]byte
+	for i := range rtts {
+		// Idle between pings like an open-loop client, so both ends are
+		// parked in netpoll when the byte arrives. Spinning, each hop
+		// waited for sysmon: ~20 ms per round trip.
+		time.Sleep(time.Millisecond)
+		start := time.Now()
+		if _, err := c.Write(b[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Read(b[:]); err != nil {
+			t.Fatal(err)
+		}
+		rtts[i] = time.Since(start)
+	}
+	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
+	if med := rtts[rounds/2]; med > 3*time.Millisecond {
+		t.Fatalf("loopback ping-pong median %v beside a full-ring replay (p90 %v), want < 3ms",
+			med, rtts[rounds*9/10])
 	}
 }
 

@@ -1,7 +1,7 @@
 package mmtrace
 
 import (
-	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -40,21 +40,64 @@ type slot struct {
 //	seq == pos+C    released — free again for the producer of pos+C
 //
 // Producers that claim into a full ring wait on the slot's seq (counted in
-// PushStalls); consumers with an empty ring wait on head (PopStalls). Both
-// waits yield the processor, so the ring degrades gracefully when workers
-// outnumber cores.
+// PushStalls); consumers with an empty ring wait on head, and a consumer
+// that claimed a slot not yet published waits on its seq (both counted in
+// PopStalls). One wait counts one stall. Every wait parks the goroutine
+// (see parker) rather than yielding in a loop: a replay that keeps the
+// ring full then leaves its P idle, so the scheduler keeps polling the
+// network instead of leaving loopback rpc traffic to sysmon's ~10 ms poll.
 type Ring struct {
-	slots []slot
-	mask  uint64
-	_     [40]byte
-	head  atomic.Uint64 // next position a producer claims
-	_     [56]byte
-	tail  atomic.Uint64 // next position a consumer claims
-	_     [56]byte
+	slots      []slot
+	mask       uint64
+	_          [40]byte
+	head       atomic.Uint64 // next position a producer claims
+	_          [56]byte
+	tail       atomic.Uint64 // next position a consumer claims
+	_          [56]byte
 	closed     atomic.Bool
 	pushStalls atomic.Uint64
 	popStalls  atomic.Uint64
 	spans      atomic.Uint64 // spans ever published
+	_          [32]byte
+	notFull    parker // producers waiting for a slot release
+	_          [56]byte
+	notEmpty   parker // consumers waiting for a claim, a publish or Close
+}
+
+// parker is the ring's park/wake primitive. A waiter registers in waiters,
+// then re-checks its condition under mu and sleeps on cond until it holds.
+// A waker changes the condition first (an atomic store) and then reads
+// waiters, broadcasting only when it is non-zero. Both sides' atomics are
+// sequentially consistent, so either the waker sees the registration and
+// broadcasts, or the waiter's re-check sees the change: no wakeup is lost,
+// and the uncontended path costs the waker one atomic load. Waiters are a
+// count, not a list, so parking never allocates.
+type parker struct {
+	waiters atomic.Int32
+	mu      sync.Mutex
+	cond    sync.Cond
+}
+
+// wait parks the caller until ready reports true. The caller has already
+// seen ready fail once and counted the stall.
+func (p *parker) wait(ready func() bool) {
+	p.waiters.Add(1)
+	p.mu.Lock()
+	for !ready() {
+		p.cond.Wait()
+	}
+	p.mu.Unlock()
+	p.waiters.Add(-1)
+}
+
+// wake wakes every parked waiter; call it after changing their condition.
+func (p *parker) wake() {
+	if p.waiters.Load() == 0 {
+		return
+	}
+	p.mu.Lock()
+	p.cond.Broadcast()
+	p.mu.Unlock()
 }
 
 // NewRing returns a ring with at least the requested capacity, rounded up
@@ -65,6 +108,8 @@ func NewRing(capacity int) *Ring {
 		c <<= 1
 	}
 	r := &Ring{slots: make([]slot, c), mask: uint64(c - 1)}
+	r.notFull.cond.L = &r.notFull.mu
+	r.notEmpty.cond.L = &r.notEmpty.mu
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))
 	}
@@ -97,14 +142,17 @@ func (r *Ring) PushBatch(spans []Span) {
 			want := pos + uint64(i)
 			if sl.seq.Load() != want {
 				r.pushStalls.Add(1)
-				for sl.seq.Load() != want {
-					runtime.Gosched()
-				}
+				// Never park on un-notified publishes: consumers parked on
+				// this chunk's earlier slots would sleep through spans
+				// that are ready while this producer waits.
+				r.notEmpty.wake()
+				r.notFull.wait(func() bool { return sl.seq.Load() == want })
 			}
 			sl.span = chunk[i]
 			sl.seq.Store(want + 1)
 		}
 		r.spans.Add(n)
+		r.notEmpty.wake()
 	}
 }
 
@@ -129,7 +177,7 @@ func (r *Ring) PopBatch(dst []Span) int {
 				continue
 			}
 			r.popStalls.Add(1)
-			runtime.Gosched()
+			r.notEmpty.wait(func() bool { return r.head.Load() != h || r.closed.Load() })
 			continue
 		}
 		n := uint64(len(dst))
@@ -146,21 +194,28 @@ func (r *Ring) PopBatch(dst []Span) int {
 			want := t + i + 1
 			if sl.seq.Load() != want {
 				r.popStalls.Add(1)
-				for sl.seq.Load() != want {
-					runtime.Gosched()
-				}
+				// Never park on un-notified releases either: the producer
+				// this wait depends on may itself be parked on one of
+				// them, and neither side would wake the other.
+				r.notFull.wake()
+				r.notEmpty.wait(func() bool { return sl.seq.Load() == want })
 			}
 			dst[i] = sl.span
 			// Release the slot for the producer one revolution ahead.
 			sl.seq.Store(t + i + uint64(len(r.slots)))
 		}
+		r.notFull.wake()
 		return int(n)
 	}
 }
 
 // Close marks the stream complete. Consumers drain the remaining spans and
-// then see 0 from PopBatch. Only the last producer may call Close.
-func (r *Ring) Close() { r.closed.Store(true) }
+// then see 0 from PopBatch; Close wakes every parked consumer. Only the
+// last producer may call Close.
+func (r *Ring) Close() {
+	r.closed.Store(true)
+	r.notEmpty.wake()
+}
 
 // Closed reports whether Close has been called.
 func (r *Ring) Closed() bool { return r.closed.Load() }
@@ -186,7 +241,7 @@ type RingStats struct {
 	Occupancy  int
 	Spans      uint64 // spans ever published
 	PushStalls uint64 // producer waits on a full ring
-	PopStalls  uint64 // consumer waits on an empty ring
+	PopStalls  uint64 // consumer waits on an empty ring or unpublished slot
 }
 
 // Stats snapshots the ring's counters.

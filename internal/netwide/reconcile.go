@@ -215,9 +215,6 @@ type reconciler struct {
 // every interval, plus immediately after any switch rejoins). Stop (on
 // the fleet) terminates it.
 func (f *RemoteFleet) StartReconciler(interval time.Duration) {
-	if f.recon != nil {
-		return
-	}
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
@@ -227,7 +224,11 @@ func (f *RemoteFleet) StartReconciler(interval time.Duration) {
 		poke:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
-	f.recon = r
+	// Publish atomically: a running liveness manager pokes the reconciler
+	// from its own goroutine.
+	if !f.recon.CompareAndSwap(nil, r) {
+		return
+	}
 	r.wg.Add(1)
 	go r.run()
 }
@@ -256,7 +257,7 @@ func (r *reconciler) stop() {
 // pokeReconciler requests an immediate pass (coalescing with any pending
 // request). No-op when the background reconciler is not running.
 func (f *RemoteFleet) pokeReconciler() {
-	r := f.recon
+	r := f.recon.Load()
 	if r == nil {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flymon/internal/controlplane"
@@ -115,7 +116,7 @@ type RemoteFleet struct {
 	tombstones map[string]int
 
 	liveness *LivenessManager
-	recon    *reconciler
+	recon    atomic.Pointer[reconciler]
 	reconMu  sync.Mutex // serializes Reconcile passes
 	stopOnce sync.Once
 
@@ -300,8 +301,8 @@ func (f *RemoteFleet) Sessions() []SessionSnapshot {
 // The RPC clients are the caller's and stay open.
 func (f *RemoteFleet) Stop() {
 	f.stopOnce.Do(func() {
-		if f.recon != nil {
-			f.recon.stop()
+		if r := f.recon.Load(); r != nil {
+			r.stop()
 		}
 		if f.liveness != nil {
 			f.liveness.Stop()
